@@ -1,6 +1,6 @@
 #include "deploy/pim_layer.h"
 
-#include <cmath>
+#include <cstring>
 #include <string>
 
 #include "kernels/quant_kernels.h"
@@ -33,6 +33,40 @@ Tensor pad_rows(const Tensor& matrix, i64 multiple) {
   Tensor result(Shape{padded, out});
   for (i64 i = 0; i < k * out; ++i) result[i] = matrix[i];
   return result;
+}
+
+/// Writes the PE input rows of the conv output rows [begin, end), each
+/// one (image, oy) pair of `wo` positions. `codes` holds the quantized
+/// input as [N*C*H] rows of `wp` = W + 2*padding codes, zero in the
+/// horizontal padding; `zero_row` stands in for rows above and below the
+/// input. A position's row holds its receptive field in im2col order
+/// (channel, ky, kx), then the zero pad tail up to `padded_k`: code 0 is
+/// what the float lowering's 0.0f padding fill quantizes to. Plain
+/// by-value arguments keep the i8 stores from aliasing the loop bounds.
+void gather_rows(const i8* codes, const i8* zero_row, i64 c, i64 h, i64 wp,
+                 Conv2dGeometry g, i64 ho, i64 wo, i64 padded_k, i64 begin,
+                 i64 end, i8* rows) {
+  const i64 kk = g.kernel, k = c * kk * kk;
+  for (i64 r = begin; r < end; ++r) {
+    const i64 img = r / ho, oy = r % ho;
+    i8* block = rows + r * wo * padded_k;  // [wo, padded_k]
+    i64 tap = 0;
+    for (i64 ch = 0; ch < c; ++ch) {
+      for (i64 ky = 0; ky < kk; ++ky) {
+        const i64 iy = oy * g.stride - g.padding + ky;
+        const i8* src = iy >= 0 && iy < h
+                            ? codes + ((img * c + ch) * h + iy) * wp
+                            : zero_row;
+        for (i64 kx = 0; kx < kk; ++kx, ++tap) {
+          for (i64 ox = 0; ox < wo; ++ox)
+            block[ox * padded_k + tap] = src[ox * g.stride + kx];
+        }
+      }
+    }
+    for (i64 ox = 0; ox < wo && k < padded_k; ++ox)
+      std::memset(block + ox * padded_k + k, 0,
+                  static_cast<size_t>(padded_k - k));
+  }
 }
 
 }  // namespace
@@ -121,12 +155,17 @@ Tensor PimMatmulLayer::matmul(const Tensor& x, const Tensor* bias) {
   quantize_activations(x.data(), batch, k_, padded_k_, act_params_,
                        codes.data(), pool);
 
-  const std::vector<i32> raw = core_.matmul(handle_, codes, batch);
+  const std::vector<i32> raw = matmul_codes(codes, batch);
   Tensor y(Shape{batch, out_});
-  const f32 scale = act_params_.scale * weight_scale_;
-  dequantize_outputs(raw.data(), batch, out_, scale,
+  dequantize_outputs(raw.data(), batch, out_, output_scale(),
                      add_bias ? bias->data() : nullptr, y.data(), pool);
   return y;
+}
+
+std::vector<i32> PimMatmulLayer::matmul_codes(std::span<const i8> codes,
+                                              i64 batch) {
+  MSH_REQUIRE(static_cast<i64>(codes.size()) == batch * padded_k_);
+  return core_.matmul(handle_, codes, batch);
 }
 
 PimConv::PimConv(HybridCore& core, Conv2d& conv, NmConfig cfg, PeKind target,
@@ -139,29 +178,60 @@ PimConv::PimConv(HybridCore& core, Conv2d& conv, NmConfig cfg, PeKind target,
 
 Tensor PimConv::forward(const Tensor& x) {
   MSH_REQUIRE(x.shape().rank() == 4);
-  const i64 n = x.shape()[0], h = x.shape()[2], w = x.shape()[3];
+  const i64 n = x.shape()[0], c = x.shape()[1], h = x.shape()[2],
+            w = x.shape()[3];
+  MSH_REQUIRE(c == geom_.in_channels);
   const i64 ho = geom_.out_dim(h), wo = geom_.out_dim(w);
+  MSH_REQUIRE(ho > 0 && wo > 0);
+  const i64 padded_k = matmul_.padded_k(), spatial = ho * wo,
+            positions = n * spatial;
+  ThreadPool* pool = matmul_.intra_op_pool();
 
-  // Lower to the matmul form: each output position's receptive field is
-  // one input row for the PE.
-  const Tensor cols = im2col(x, geom_);          // [K, positions]
-  const Tensor rows = cols.transposed();         // [positions, K]
-  Tensor flat = matmul_.matmul(rows);            // [positions, out]
+  // Quantize every input activation once, one image row per code row,
+  // zero-padded horizontally; one zero row in front stands in for the
+  // vertical padding. Quantize is elementwise, so gathering these codes
+  // equals quantizing the gathered floats.
+  const i64 pad = geom_.padding, wp = w + 2 * pad;
+  input_codes_.resize(static_cast<size_t>(wp + pad + n * c * h * wp));
+  i8* zero_row = input_codes_.data();
+  std::memset(zero_row, 0, static_cast<size_t>(wp + pad));
+  quantize_activations(x.data(), n * c * h, w, wp,
+                       matmul_.activation_params(), zero_row + wp + pad,
+                       pool);
 
+  // INT8 im2col straight into the PE layout: one [padded_k] row per output
+  // position, sharded over output rows so each is written by one lane.
+  row_codes_.resize(static_cast<size_t>(positions * padded_k));
+  i8* rows = row_codes_.data();
+  const Conv2dGeometry g = geom_;
+  parallel_for(pool, n * ho, [=](i64 begin, i64 end) {
+    gather_rows(zero_row + wp, zero_row, c, h, wp, g, ho, wo, padded_k,
+                begin, end, rows);
+  });
+
+  const std::vector<i32> raw = matmul_.matmul_codes(
+      std::span<const i8>(rows, static_cast<size_t>(positions * padded_k)),
+      positions);
+
+  // Dequantize + bias + NCHW scatter in one pass, sharded over (image,
+  // output channel) planes so each plane is written by exactly one lane.
+  // Same two FP32 ops in the same order as a dequantize pass followed by a
+  // bias-adding scatter; a missing bias adds +0.0f, as that scatter did.
   const i64 out_ch = geom_.out_channels;
+  const f32 scale = matmul_.output_scale();
+  const f32* bias = bias_.empty() ? nullptr : bias_.data();
+  const i32* acc = raw.data();
   Tensor y(Shape{n, out_ch, ho, wo});
-  const i64 spatial = ho * wo;
-  // Scatter + bias, sharded over (image, output channel) planes: each
-  // plane is written by exactly one lane, so the parallel result is
-  // bit-identical to the sequential loop.
-  parallel_for(matmul_.intra_op_pool(), n * out_ch,
-               [&](i64 begin, i64 end) {
-    for (i64 p = begin; p < end; ++p) {
-      const i64 img = p / out_ch, oc = p % out_ch;
-      const f32 b = bias_.empty() ? 0.0f : bias_[oc];
+  f32* out = y.data();
+  parallel_for(pool, n * out_ch, [=](i64 begin, i64 end) {
+    for (i64 plane = begin; plane < end; ++plane) {
+      const i64 img = plane / out_ch, oc = plane % out_ch;
+      const f32 b = bias != nullptr ? bias[oc] : 0.0f;
+      const i32* src = acc + img * spatial * out_ch + oc;
+      f32* dst = out + plane * spatial;
       for (i64 s = 0; s < spatial; ++s) {
-        y[(img * out_ch + oc) * spatial + s] =
-            flat[(img * spatial + s) * out_ch + oc] + b;
+        const f32 v = scale * static_cast<f32>(src[s * out_ch]);
+        dst[s] = v + b;
       }
     }
   });

@@ -4,6 +4,9 @@
 // INT8 activations (symmetric, calibration-scaled).
 #pragma once
 
+#include <span>
+#include <vector>
+
 #include "arch/accelerator.h"
 #include "mapping/model_mapper.h"
 #include "nn/conv2d.h"
@@ -45,6 +48,12 @@ class PimMatmulLayer {
   /// is bit-identical to the sequential walk.
   Tensor matmul(const Tensor& x, const Tensor* bias = nullptr);
 
+  /// Codes-level dispatch, the one path every forward takes to the core:
+  /// `codes` is [batch x padded_k()] INT8, quantized with
+  /// activation_params() and zero in the pad tail. Returns the raw INT32
+  /// accumulators [batch x out].
+  std::vector<i32> matmul_codes(std::span<const i8> codes, i64 batch);
+
   /// The core's intra-op pool (null when execution is sequential).
   ThreadPool* intra_op_pool() const { return core_.intra_op_pool(); }
 
@@ -58,7 +67,11 @@ class PimMatmulLayer {
   void set_activation_scale(f32 scale);
 
   f32 activation_scale() const { return act_params_.scale; }
+  const QuantParams& activation_params() const { return act_params_; }
   f32 weight_scale() const { return weight_scale_; }
+  /// Dequantization scale of the raw accumulators.
+  f32 output_scale() const { return act_params_.scale * weight_scale_; }
+  i64 padded_k() const { return padded_k_; }
   NmConfig packed_config() const { return packed_cfg_; }
   bool deployed_sparse() const { return deployed_sparse_; }
   i64 stored_slots() const { return stored_slots_; }
@@ -83,14 +96,19 @@ class PimMatmulLayer {
   QuantizedNmMatrix deployed_;
 };
 
-/// A conv layer on the hardware: im2col lowering around a PimMatmulLayer,
-/// bias added digitally.
+/// A conv layer on the hardware, lowered in INT8 (DESIGN §5i): each input
+/// activation is quantized once, an INT8 gather writes every output
+/// position's receptive field as one PE input row, and one fused pass
+/// dequantizes, adds the bias digitally and scatters to NCHW. Bit-identical
+/// to quantizing the float im2col matrix, because quantize is elementwise
+/// and maps the 0.0f padding fill to code 0.
 class PimConv {
  public:
   PimConv(HybridCore& core, Conv2d& conv, NmConfig cfg, PeKind target,
           f32 activation_scale, const QuantizedNmMatrix* preset = nullptr);
 
-  /// x: [B, C, H, W] float activations -> [B, out, Ho, Wo].
+  /// x: [B, C, H, W] float activations -> [B, out, Ho, Wo]. Reuses the
+  /// layer's code buffers, so calls must not overlap.
   Tensor forward(const Tensor& x);
 
   const PimMatmulLayer& matmul_layer() const { return matmul_; }
@@ -98,7 +116,9 @@ class PimConv {
  private:
   Conv2dGeometry geom_;
   PimMatmulLayer matmul_;
-  Tensor bias_;  ///< [out] or empty
+  Tensor bias_;                   ///< [out] or empty
+  std::vector<i8> input_codes_;  ///< zero row, then [B*C*H, W + 2*pad]
+  std::vector<i8> row_codes_;    ///< [positions, padded_k] PE input rows
 };
 
 /// A fully-connected layer on the hardware.

@@ -7,7 +7,10 @@
 // assembly the raw path serves through.
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "deploy/pim_executor.h"
+#include "kernels/quant_kernels.h"
 #include "kernels/simd.h"
 #include "runtime/dynamic_batcher.h"
 #include "sparse/nm_mask.h"
@@ -27,7 +30,9 @@ Tensor sparse_weight(i64 out, i64 k, NmConfig cfg, u64 seed) {
 void expect_tensors_bit_equal(const Tensor& a, const Tensor& b) {
   ASSERT_EQ(a.shape(), b.shape());
   for (i64 i = 0; i < a.numel(); ++i) {
-    ASSERT_EQ(a[i], b[i]) << "diverged at flat index " << i;
+    // Bit patterns, not float equality: -0.0 vs +0.0 is a divergence.
+    ASSERT_EQ(std::bit_cast<u32>(a[i]), std::bit_cast<u32>(b[i]))
+        << "diverged at flat index " << i << ": " << a[i] << " vs " << b[i];
   }
 }
 
@@ -148,6 +153,206 @@ TEST(SimdTest, MultiplyAccumulateMatchesScalarWithWrap) {
     ref[i] = static_cast<i32>(static_cast<u32>(ref[i]) +
                               static_cast<u32>(w * x[i]));
     ASSERT_EQ(acc[i], ref[i]) << "lane " << i << " on " << simd::kIsa;
+  }
+}
+
+// ----- fused INT8 conv lowering vs the float lowering it replaced -----
+//
+// Raw vs modeled cannot catch a lowering bug: both backends run the same
+// PimConv::forward. So the conv is checked against an independent
+// reference rebuilt from public functions.
+
+constexpr f32 kConvActScale = 0.25f;  // power of two: v / scale is exact
+
+/// The float conv lowering: im2col -> transpose -> quantize -> core
+/// matmul -> dequantize -> bias + NCHW scatter.
+Tensor reference_conv(HybridCore& core, const PimMatmulLayer& layer,
+                      Conv2d& conv, const Tensor& x) {
+  const Conv2dGeometry& g = conv.geometry();
+  const i64 n = x.shape()[0], ho = g.out_dim(x.shape()[2]),
+            wo = g.out_dim(x.shape()[3]), spatial = ho * wo,
+            positions = n * spatial;
+  const Tensor rows = im2col(x, g).transposed();  // [positions, K]
+  const i64 k = rows.shape()[1], padded_k = layer.padded_k(),
+            out = g.out_channels;
+  std::vector<i8> codes(static_cast<size_t>(positions * padded_k));
+  QuantParams params;
+  params.scale = layer.activation_scale();
+  quantize_activations(rows.data(), positions, k, padded_k, params,
+                       codes.data(), nullptr);
+  const std::vector<i32> raw = core.matmul(layer.handle(), codes, positions);
+  Tensor flat(Shape{positions, out});
+  dequantize_outputs(raw.data(), positions, out,
+                     layer.activation_scale() * layer.weight_scale(),
+                     nullptr, flat.data(), nullptr);
+  Tensor y(Shape{n, out, ho, wo});
+  for (i64 img = 0; img < n; ++img) {
+    for (i64 oc = 0; oc < out; ++oc) {
+      const f32 b = conv.has_bias() ? conv.bias().value[oc] : 0.0f;
+      for (i64 s = 0; s < spatial; ++s) {
+        y[(img * out + oc) * spatial + s] =
+            flat[(img * spatial + s) * out + oc] + b;
+      }
+    }
+  }
+  return y;
+}
+
+/// Activations mixing the quantizer's edge cases: signed zeros, exact
+/// half-code ties, values past the +-127 clamp, and ordinary values.
+Tensor lowering_input(const Shape& shape, u64 seed) {
+  Rng rng(seed);
+  Tensor x(shape);
+  for (i64 i = 0; i < x.numel(); ++i) {
+    const f32 sign = (i / 5) % 2 == 0 ? 1.0f : -1.0f;
+    switch (i % 5) {
+      case 0:
+        x[i] = sign * 0.0f;
+        break;
+      case 1:
+        x[i] = (static_cast<f32>(rng.uniform_int(-130, 129)) + 0.5f) *
+               kConvActScale;
+        break;
+      case 2:
+        x[i] = sign * (127.0f * kConvActScale +
+                       static_cast<f32>(rng.uniform_int(1, 40)));
+        break;
+      default:
+        x[i] = static_cast<f32>(rng.gaussian(0.0, 12.0));
+    }
+  }
+  return x;
+}
+
+struct ConvCase {
+  i64 kernel = 1, stride = 1, padding = 0;
+  i64 in_channels = 3;  ///< 3: K = 3 or 27 pads to the group size of 4
+  bool sparse = false;  ///< 1:4 pattern, else the dense M:M fallback
+  bool bias = false;
+};
+
+Conv2d make_conv(const ConvCase& cc, u64 seed) {
+  Rng rng(seed);
+  Conv2d conv(Conv2dGeometry{.in_channels = cc.in_channels,
+                             .out_channels = 5,
+                             .kernel = cc.kernel,
+                             .stride = cc.stride,
+                             .padding = cc.padding},
+              rng, cc.bias);
+  if (cc.sparse) {
+    // One weight per aligned group of 4 along K, the partial last group
+    // included, so the pattern holds on the zero-padded matrix.
+    Tensor w = conv.weight().value;
+    const i64 k = w.shape()[1];
+    for (i64 i = 0; i < w.numel(); ++i) {
+      if (i % k % 4 != i / k % 4) w[i] = 0.0f;
+    }
+    conv.set_weight(w);
+  }
+  if (cc.bias) conv.bias().value = Tensor::randn(Shape{5}, rng);
+  return conv;
+}
+
+/// Deploys `conv` on a fresh core and checks the fused forward against
+/// the reference, a larger batch first and then a smaller one: the reused
+/// code buffers must not leak rows from the earlier call.
+void expect_conv_matches_reference(const ConvCase& cc, u64 seed,
+                                   PeKind kind, KernelBackend backend,
+                                   i64 threads) {
+  Conv2d conv = make_conv(cc, seed);
+  HybridCoreOptions options;
+  options.backend = backend;
+  HybridCore core(options);
+  ThreadPool pool(threads);
+  if (threads > 1) core.set_intra_op_pool(&pool);
+  PimConv fused(core, conv, kSparse1of4, kind, kConvActScale);
+  ASSERT_EQ(fused.matmul_layer().deployed_sparse(), cc.sparse);
+  const Conv2dGeometry& g = conv.geometry();
+  for (const i64 batch : {3, 1}) {
+    const Tensor x =
+        lowering_input(Shape{batch, g.in_channels, 7, 6}, seed + batch);
+    expect_tensors_bit_equal(
+        fused.forward(x), reference_conv(core, fused.matmul_layer(), conv, x));
+  }
+}
+
+TEST(FusedConvLowering, MatchesFloatLoweringBitForBit) {
+  i64 case_id = 0;
+  for (const i64 kernel : {1, 3}) {
+    for (const i64 stride : {1, 2}) {
+      for (const i64 padding : {0, 1}) {
+        for (const i64 in_channels : {3, 8}) {
+          for (const bool sparse : {false, true}) {
+            const ConvCase cc{kernel, stride, padding, in_channels, sparse,
+                              /*bias=*/case_id % 2 == 0};
+            const PeKind kind =
+                case_id / 2 % 2 == 0 ? PeKind::kSram : PeKind::kMram;
+            for (const KernelBackend backend :
+                 {KernelBackend::kModeled, KernelBackend::kRaw}) {
+              for (const i64 threads : {1, 3}) {
+                SCOPED_TRACE(
+                    "case " + std::to_string(case_id) + ": k" +
+                    std::to_string(kernel) + " s" + std::to_string(stride) +
+                    " p" + std::to_string(padding) + " c" +
+                    std::to_string(in_channels) +
+                    (sparse ? " sparse" : " dense") +
+                    (cc.bias ? " bias " : " nobias ") +
+                    (backend == KernelBackend::kRaw ? "raw" : "modeled") +
+                    " threads=" + std::to_string(threads));
+                expect_conv_matches_reference(cc, 300 + case_id, kind,
+                                              backend, threads);
+              }
+            }
+            ++case_id;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(FusedConvLowering, MatchesFloatLoweringAfterFaultsAndScrub) {
+  // Faults and a SEC-DED scrub change the live MRAM cells both paths
+  // read; the fused lowering must see exactly what the reference sees,
+  // on both backends.
+  const ConvCase cc{3, 1, 1, 8, /*sparse=*/true, /*bias=*/true};
+  Conv2d conv = make_conv(cc, 77);
+  for (const KernelBackend backend :
+       {KernelBackend::kModeled, KernelBackend::kRaw}) {
+    HybridCoreOptions options;
+    options.backend = backend;
+    HybridCore core(options);
+    PimConv fused(core, conv, kSparse1of4, PeKind::kMram, kConvActScale);
+    const Tensor x = lowering_input(Shape{2, 8, 6, 6}, 5);
+    const Tensor clean = fused.forward(x);
+
+    const HybridCore::NvmCodeView view =
+        core.nvm_codes(fused.matmul_layer().handle());
+    std::vector<u8> checks;
+    for (const i8* cell : view.weights)
+      checks.push_back(secded_encode(static_cast<u8>(*cell)));
+    Rng fault_rng(11);
+    const FaultStats stats = inject_bit_errors(
+        view.weights, MtjFaultModel::symmetric(0.02), fault_rng, 8);
+    ASSERT_GT(stats.bits_flipped, 0);
+    const Tensor faulted = fused.forward(x);
+    expect_tensors_bit_equal(
+        faulted, reference_conv(core, fused.matmul_layer(), conv, x));
+    bool moved = false;
+    for (i64 i = 0; i < clean.numel(); ++i) moved |= clean[i] != faulted[i];
+    EXPECT_TRUE(moved);
+
+    // Scrub: repair single-bit errors in place; doubles stay corrupted.
+    i64 corrected = 0;
+    for (size_t i = 0; i < view.weights.size(); ++i) {
+      u8 data = static_cast<u8>(*view.weights[i]);
+      if (secded_decode(data, checks[i]) == SecDedOutcome::kCorrectedSingle)
+        ++corrected;
+      *view.weights[i] = static_cast<i8>(data);
+    }
+    ASSERT_GT(corrected, 0);
+    expect_tensors_bit_equal(
+        fused.forward(x), reference_conv(core, fused.matmul_layer(), conv, x));
   }
 }
 
