@@ -23,18 +23,14 @@
 //   usage: bench_endurance [--smoke] [--wear-out FILE] [seed]
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "common/rng.h"
 #include "common/table.h"
-#include "runtime/continual/continual_learner.h"
-#include "workloads/task_suite.h"
+#include "harness.h"
 
 namespace msh {
 namespace {
@@ -111,7 +107,7 @@ CampaignResult run_campaign(RepNetModel& model, const TrainTestSplit& data,
     ++result.publishes_survived;
     const InferenceResponse response = engine.submit(probe).get();
     if (response.status != RequestStatus::kOk ||
-        max_abs_diff(response.logits, to_b ? ref_b : ref_a) != 0.0f) {
+        !bench::bit_equal(response.logits, to_b ? ref_b : ref_a)) {
       result.bit_exact = false;
       break;
     }
@@ -139,43 +135,16 @@ void add_campaign_row(AsciiTable& table, const char* name,
 int main(int argc, char** argv) {
   using namespace msh;
 
-  bool smoke = false;
-  u64 seed = 42;
-  std::string wear_out;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strcmp(argv[i], "--wear-out") == 0 && i + 1 < argc) {
-      wear_out = argv[++i];
-    } else {
-      seed = std::strtoull(argv[i], nullptr, 10);
-    }
-  }
+  const bench::Args args(
+      argc, argv, "bench_endurance [--smoke] [--wear-out FILE] [seed]", 1,
+      {"--wear-out"});
+  const u64 seed = args.seed();
+  const bool smoke = args.smoke();
+  const std::string wear_out = args.flag("--wear-out");
   const i64 max_rounds = smoke ? 5 : 8;
   const u64 aging_endurance = smoke ? 8 : 16;
 
-  SyntheticSpec served;
-  served.name = "endurance";
-  served.classes = 4;
-  served.train_per_class = 16;
-  served.test_per_class = 12;
-  served.image_size = 12;
-  served.seed = seed;
-  TrainTestSplit data = make_synthetic_dataset(served);
-  SyntheticSpec adapt_spec = adaptation_task_spec(served, seed + 300);
-  adapt_spec.train_per_class = 20;
-
-  BackboneConfig backbone;
-  backbone.stem_channels = 8;
-  backbone.stage_channels = {8, 16};
-  backbone.blocks_per_stage = {1, 1};
-  backbone.stage_strides = {1, 2};
-  const RepNetConfig rep_cfg{.bottleneck_divisor = 8, .min_bottleneck = 8};
-  Rng model_rng(seed);
-  RepNetModel model(backbone, rep_cfg, served.classes, model_rng);
-  model.backbone().set_trainable(false);  // on-device learning setup
-  Rng trainer_rng(seed + 1);
-  RepNetModel trainer_model(backbone, rep_cfg, served.classes, trainer_rng);
+  bench::LaneFixture fx(seed);
 
   std::printf("=== Endurance: %lld lane rounds, aging endurance %llu "
               "writes/word, seed %llu%s ===\n\n",
@@ -188,48 +157,35 @@ int main(int argc, char** argv) {
   // Device-realistic wear (huge endurance, a real write-error rate): the
   // tracker must be transparent — identical replies — while absorbing
   // every write error inside the retry budget.
-  ServingEngineOptions managed_options;
-  managed_options.workers = 2;
+  ServingEngineOptions managed_options = bench::two_worker_options();
   managed_options.queue_capacity = 64;
-  managed_options.batcher = {.max_batch_rows = 4, .max_wait_us = 200.0};
   managed_options.wear.enabled = true;
   managed_options.wear.endurance_writes = 1'000'000'000ull;
   managed_options.wear.device.write_error_rate = 2e-3;
   managed_options.wear.seed = seed;
-  ServingEngine engine(model, data.train, managed_options);
+  ServingEngine engine(fx.model, fx.data.train, managed_options);
 
   bool parity_exact = true;
   {
     ServingEngineOptions ideal_options = managed_options;
     ideal_options.wear = WearOptions{};  // no endurance modeling
-    ServingEngine ideal(model, data.train, ideal_options);
+    ServingEngine ideal(fx.model, fx.data.train, ideal_options);
     for (i64 i = 0; i < 4; ++i) {
-      const Tensor probe = data.test.batch_images(i, 1);
+      const Tensor probe = fx.data.test.batch_images(i, 1);
       const InferenceResponse managed = engine.submit(probe).get();
       const InferenceResponse reference = ideal.submit(probe).get();
       if (managed.status != RequestStatus::kOk ||
           reference.status != RequestStatus::kOk ||
-          max_abs_diff(managed.logits, reference.logits) != 0.0f)
+          !bench::bit_equal(managed.logits, reference.logits))
         parity_exact = false;
     }
     ideal.shutdown();
   }
 
-  ContinualLearnerOptions lane_options;
-  lane_options.seed = seed;
-  lane_options.batch = 8;
-  lane_options.steps_per_round = 6;
+  ContinualLearnerOptions lane_options = fx.lane_options();
   lane_options.max_rounds = max_rounds;
-  lane_options.rep_lr = 0.02f;
-  lane_options.head_lr = 0.15f;
-  lane_options.min_accuracy_gain = 0.01;
-  lane_options.rollback_margin = 0.05;
-  lane_options.holdout_batch = 16;
-  lane_options.swap.worker_timeout_us = 120e6;  // sanitizer headroom
-  ContinualLearner learner(engine, trainer_model,
-                           TaskStream(make_synthetic_dataset(adapt_spec),
-                                      seed + 7),
-                           data.train, lane_options);
+  ContinualLearner learner(engine, fx.trainer_model, fx.task_stream(),
+                           fx.data.train, lane_options);
   learner.start();
   while (learner.rounds() < max_rounds)
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
@@ -286,10 +242,10 @@ int main(int argc, char** argv) {
   // but none of them *needs* MRAM rewrites — exactly the continual-lane
   // shape. The naive controller burns the whole MRAM span anyway.
   const CampaignResult naive_run =
-      run_campaign(model, data, naive, "classifier", 1000);
+      run_campaign(fx.model, fx.data, naive, "classifier", 1000);
   const i64 lifetime_cap = 5 * std::max<i64>(1, naive_run.publishes_survived);
   const CampaignResult managed_run =
-      run_campaign(model, data, managed, "classifier", lifetime_cap);
+      run_campaign(fx.model, fx.data, managed, "classifier", lifetime_cap);
   const f64 lifetime_ratio =
       static_cast<f64>(managed_run.publishes_survived) /
       static_cast<f64>(std::max<i64>(1, naive_run.publishes_survived));
@@ -303,9 +259,9 @@ int main(int argc, char** argv) {
   leveled.spare_banks = 4;
   const i64 leveling_cap = static_cast<i64>(aging_endurance) * 6;
   const CampaignResult base_run =
-      run_campaign(model, data, no_spares, "stem.0", leveling_cap);
+      run_campaign(fx.model, fx.data, no_spares, "stem.0", leveling_cap);
   const CampaignResult leveled_run =
-      run_campaign(model, data, leveled, "stem.0", leveling_cap);
+      run_campaign(fx.model, fx.data, leveled, "stem.0", leveling_cap);
 
   AsciiTable aging({"campaign", "publishes", "end", "broken words",
                     "banks remapped", "delta savings", "bit-exact"});
@@ -319,7 +275,7 @@ int main(int argc, char** argv) {
 
   // ---- Phase 3: same-seed determinism --------------------------------
   const CampaignResult replay =
-      run_campaign(model, data, naive, "classifier", 1000);
+      run_campaign(fx.model, fx.data, naive, "classifier", 1000);
   const bool deterministic =
       replay.publishes_survived == naive_run.publishes_survived &&
       replay.wear_json == naive_run.wear_json;
@@ -332,69 +288,46 @@ int main(int argc, char** argv) {
     std::printf("wear JSON written to %s\n\n", wear_out.c_str());
   }
 
-  bool pass = true;
-  if (!parity_exact) {
-    std::printf("FAILED: wear-managed engine is not bit-exact with the "
-                "unmanaged engine on a healthy medium\n");
-    pass = false;
-  }
-  if (publishes < 1) {
-    std::printf("FAILED: the continual lane published nothing\n");
-    pass = false;
-  }
-  if (publish_rewrite_fraction >= 0.20) {
-    std::printf("FAILED: lane publishes rewrote %.1f%% of the tracked "
-                "MRAM words (budget < 20%%)\n",
-                100.0 * publish_rewrite_fraction);
-    pass = false;
-  }
-  if (lane_wear.totals.retries <= 0 ||
-      lane_wear.totals.verify_failures != 0 ||
-      lane_wear.totals.broken_words != 0) {
-    std::printf("FAILED: verify-retry accounting is off (retries %lld, "
-                "verify failures %lld, broken %lld)\n",
-                static_cast<long long>(lane_wear.totals.retries),
-                static_cast<long long>(lane_wear.totals.verify_failures),
-                static_cast<long long>(lane_wear.totals.broken_words));
-    pass = false;
-  }
-  if (naive_run.hit_cap || naive_run.publishes_survived < 1) {
-    std::printf("FAILED: the naive campaign never wore out (%lld "
-                "publishes)\n",
-                static_cast<long long>(naive_run.publishes_survived));
-    pass = false;
-  }
-  if (!managed_run.hit_cap || lifetime_ratio < 5.0) {
-    std::printf("FAILED: managed lifetime %.1fx naive (need >= 5x)\n",
-                lifetime_ratio);
-    pass = false;
-  }
-  if (!naive_run.bit_exact || !managed_run.bit_exact ||
-      !base_run.bit_exact || !leveled_run.bit_exact) {
-    std::printf("FAILED: a surviving publish served a wrong or failed "
-                "reply\n");
-    pass = false;
-  }
-  if (leveled_run.wear.totals.banks_remapped <= 0 ||
-      leveled_run.publishes_survived < 2 * base_run.publishes_survived) {
-    std::printf("FAILED: wear leveling did not extend lifetime (%lld vs "
-                "%lld publishes, %lld remaps)\n",
-                static_cast<long long>(leveled_run.publishes_survived),
-                static_cast<long long>(base_run.publishes_survived),
-                static_cast<long long>(
-                    leveled_run.wear.totals.banks_remapped));
-    pass = false;
-  }
-  if (!deterministic) {
-    std::printf("FAILED: same-seed naive campaign replay diverged "
-                "(%lld vs %lld publishes, wear JSON %s)\n",
-                static_cast<long long>(replay.publishes_survived),
-                static_cast<long long>(naive_run.publishes_survived),
-                replay.wear_json == naive_run.wear_json ? "equal"
-                                                        : "differs");
-    pass = false;
-  }
-  if (!pass) return 1;
+  bench::Gate gate;
+  gate.check(parity_exact,
+             "wear-managed engine is not bit-exact with the unmanaged "
+             "engine on a healthy medium");
+  gate.check(publishes >= 1, "the continual lane published nothing");
+  gate.check(publish_rewrite_fraction < 0.20,
+             "lane publishes rewrote %.1f%% of the tracked MRAM words "
+             "(budget < 20%%)",
+             100.0 * publish_rewrite_fraction);
+  gate.check(lane_wear.totals.retries > 0 &&
+                 lane_wear.totals.verify_failures == 0 &&
+                 lane_wear.totals.broken_words == 0,
+             "verify-retry accounting is off (retries %lld, verify "
+             "failures %lld, broken %lld)",
+             static_cast<long long>(lane_wear.totals.retries),
+             static_cast<long long>(lane_wear.totals.verify_failures),
+             static_cast<long long>(lane_wear.totals.broken_words));
+  gate.check(!naive_run.hit_cap && naive_run.publishes_survived >= 1,
+             "the naive campaign never wore out (%lld publishes)",
+             static_cast<long long>(naive_run.publishes_survived));
+  gate.check(managed_run.hit_cap && lifetime_ratio >= 5.0,
+             "managed lifetime %.1fx naive (need >= 5x)", lifetime_ratio);
+  gate.check(naive_run.bit_exact && managed_run.bit_exact &&
+                 base_run.bit_exact && leveled_run.bit_exact,
+             "a surviving publish served a wrong or failed reply");
+  gate.check(leveled_run.wear.totals.banks_remapped > 0 &&
+                 leveled_run.publishes_survived >=
+                     2 * base_run.publishes_survived,
+             "wear leveling did not extend lifetime (%lld vs %lld "
+             "publishes, %lld remaps)",
+             static_cast<long long>(leveled_run.publishes_survived),
+             static_cast<long long>(base_run.publishes_survived),
+             static_cast<long long>(leveled_run.wear.totals.banks_remapped));
+  gate.check(deterministic,
+             "same-seed naive campaign replay diverged (%lld vs %lld "
+             "publishes, wear JSON %s)",
+             static_cast<long long>(replay.publishes_survived),
+             static_cast<long long>(naive_run.publishes_survived),
+             replay.wear_json == naive_run.wear_json ? "equal" : "differs");
+  if (!gate.passed()) return gate.exit_code();
 
   std::printf(
       "shape check: endurance management is transparent on a healthy "

@@ -22,50 +22,23 @@
 //   usage: bench_power_outage [--smoke] [seed]
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <deque>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "common/rng.h"
-#include "common/stopwatch.h"
 #include "common/table.h"
-#include "runtime/continual/continual_learner.h"
+#include "harness.h"
 #include "runtime/recovery/outage_injector.h"
 #include "runtime/recovery/recovery_manager.h"
-#include "workloads/task_suite.h"
 
 namespace msh {
 namespace {
-
-/// Closed-loop warm-up: what the engine actually sustains on this host
-/// (and under whatever sanitizer is active).
-f64 measure_capacity_rps(ServingEngine& engine, const Dataset& pool,
-                         i64 total) {
-  const Stopwatch watch;
-  std::deque<ResponseFuture> inflight;
-  i64 submitted = 0, done = 0;
-  const size_t window = static_cast<size_t>(2 * engine.workers());
-  while (done < total) {
-    while (submitted < total && inflight.size() < window) {
-      inflight.push_back(
-          engine.submit(pool.batch_images(submitted % pool.size(), 1)));
-      ++submitted;
-    }
-    inflight.front().get();
-    inflight.pop_front();
-    ++done;
-  }
-  return static_cast<f64>(total) / (watch.elapsed_us() / 1e6);
-}
 
 std::string file_bytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -77,10 +50,7 @@ std::string file_bytes(const std::string& path) {
 struct ScenarioResult {
   std::string error;  ///< empty when the scenario itself ran clean
   // Traffic.
-  i64 submitted = 0;
-  i64 ok = 0;
-  i64 power_loss = 0;
-  i64 other_bad = 0;   ///< rejected/failed/shed/timed out (none allowed)
+  bench::StatusTally replies;
   i64 corrupted = 0;   ///< kOk replies matching no published generation
   // Outage lifecycle.
   i64 outages = 0;
@@ -103,10 +73,16 @@ struct ScenarioResult {
   std::map<std::string, std::string> durable_files;
   std::string metrics_json;
 
+  i64 ok() const { return replies.count(RequestStatus::kOk); }
+  i64 power_loss() const { return replies.count(RequestStatus::kPowerLoss); }
+  /// Rejected/failed/shed/timed out (none allowed).
+  i64 other_bad() const {
+    return replies.other_than({RequestStatus::kOk, RequestStatus::kPowerLoss});
+  }
   f64 availability() const {
-    const i64 offered = submitted - power_loss;
+    const i64 offered = replies.total() - power_loss();
     return offered <= 0 ? 0.0
-                        : static_cast<f64>(ok) / static_cast<f64>(offered);
+                        : static_cast<f64>(ok()) / static_cast<f64>(offered);
   }
 };
 
@@ -129,34 +105,8 @@ ScenarioResult run_scenario(const ScenarioConfig& config,
 
   // Served task + drifted personalization, same shapes as the
   // train-while-serve bench.
-  SyntheticSpec served;
-  served.name = "power-outage";
-  served.classes = 4;
-  served.train_per_class = 16;
-  served.test_per_class = 12;
-  served.image_size = 12;
-  served.seed = seed;
-  TrainTestSplit data = make_synthetic_dataset(served);
-  SyntheticSpec adapt_spec = adaptation_task_spec(served, seed + 300);
-  adapt_spec.train_per_class = 20;
-  TrainTestSplit adapt = make_synthetic_dataset(adapt_spec);
-
-  BackboneConfig backbone;
-  backbone.stem_channels = 8;
-  backbone.stage_channels = {8, 16};
-  backbone.blocks_per_stage = {1, 1};
-  backbone.stage_strides = {1, 2};
-  const RepNetConfig rep_cfg{.bottleneck_divisor = 8, .min_bottleneck = 8};
-  Rng model_rng(seed);
-  RepNetModel model(backbone, rep_cfg, served.classes, model_rng);
-  model.backbone().set_trainable(false);
-  Rng trainer_rng(seed + 1);
-  RepNetModel trainer_model(backbone, rep_cfg, served.classes, trainer_rng);
-
-  ServingEngineOptions options;
-  options.workers = 2;
-  options.queue_capacity = 256;
-  options.batcher = {.max_batch_rows = 4, .max_wait_us = 200.0};
+  bench::LaneFixture fx(seed);
+  ServingEngineOptions options = bench::two_worker_options();
   options.executor.ecc = EccMode::kSecDed;  // scrub repairs the drift
 
   // Durable store, seeded with the factory boot image (generation 1).
@@ -165,7 +115,7 @@ ScenarioResult run_scenario(const ScenarioConfig& config,
   std::shared_ptr<const DeploymentImage> newest_durable;
   std::unordered_map<const void*, f32> amax;
   {
-    PimRepNetExecutor probe(model, data.train, options.executor);
+    PimRepNetExecutor probe(fx.model, fx.data.train, options.executor);
     amax = probe.input_amax();
     auto boot = std::make_shared<DeploymentImage>(probe.export_image());
     boot->set_generation(gen);
@@ -181,11 +131,11 @@ ScenarioResult run_scenario(const ScenarioConfig& config,
     std::map<i64, Tensor> cache;  ///< pool index -> reference logits
   };
   std::vector<Reference> references;
-  const Dataset& pool = adapt.test;
+  const Dataset& pool = fx.adapt.test;
   auto add_reference = [&](std::shared_ptr<const DeploymentImage> image) {
     references.push_back(
         {image->generation(),
-         PimRepNetExecutor::deploy_from_image(model, options.executor, amax,
+         PimRepNetExecutor::deploy_from_image(fx.model, options.executor, amax,
                                               std::move(image)),
          {}});
   };
@@ -199,29 +149,17 @@ ScenarioResult run_scenario(const ScenarioConfig& config,
                      .emplace(pool_idx,
                               it->exec->forward(pool.batch_images(pool_idx, 1)))
                      .first;
-      if (max_abs_diff(logits, cached->second) == 0.0f) return true;
+      if (bench::bit_equal(logits, cached->second)) return true;
     }
     return false;
   };
 
-  ServingEngine engine(model, data.train, options);
+  ServingEngine engine(fx.model, fx.data.train, options);
   RecoveryManager manager(durable);
 
-  ContinualLearnerOptions lane;
-  lane.seed = seed;
-  lane.batch = 8;
-  lane.steps_per_round = 6;
-  lane.rep_lr = 0.02f;
-  lane.head_lr = 0.15f;
-  lane.min_accuracy_gain = 0.01;
-  lane.rollback_margin = 0.05;
-  lane.holdout_batch = 16;
-  lane.swap.worker_timeout_us = 120e6;  // sanitizer headroom
-  auto fresh_stream = [&] {
-    return TaskStream(make_synthetic_dataset(adapt_spec), seed + 7);
-  };
+  const ContinualLearnerOptions lane = fx.lane_options();
   auto learner = std::make_unique<ContinualLearner>(
-      engine, trainer_model, fresh_stream(), data.train, lane);
+      engine, fx.trainer_model, fx.task_stream(), fx.data.train, lane);
 
   // After every lane round: publish any gate-passing image to the
   // durable store (next generation) and journal a checkpoint — the
@@ -259,12 +197,8 @@ ScenarioResult run_scenario(const ScenarioConfig& config,
   OutageInjector injector(engine, make_outage_schedule(sched),
                           config.retention_tau_s);
 
-  f64 capacity_rps;
-  {
-    ServingEngine probe_engine(model, data.train, options);
-    capacity_rps =
-        measure_capacity_rps(probe_engine, pool, config.smoke ? 24 : 48);
-  }
+  const f64 capacity_rps = bench::measure_capacity_rps(
+      fx, options, pool, config.smoke ? 24 : 48);
   const f64 rate_rps = std::max(5.0, 0.25 * capacity_rps);
 
   struct Sent {
@@ -273,13 +207,12 @@ ScenarioResult run_scenario(const ScenarioConfig& config,
   };
   std::vector<Sent> sent;
   sent.reserve(static_cast<size_t>(config.total_requests));
-  Rng arrivals(seed + 13);
-  f64 next_arrival_us = 0.0;
-  const Stopwatch clock;
+  Rng arrival_rng(seed + 13);
+  bench::PoissonArrivals arrivals(arrival_rng, rate_rps);
 
   while (injector.remaining() > 0 ||
          static_cast<i64>(sent.size()) < config.total_requests) {
-    if (injector.poll(clock.elapsed_us())) {
+    if (injector.poll(arrivals.elapsed_us())) {
       ++result.outages;
       const RecoveryReport recovery =
           manager.recover(engine, {.rto_budget_us = config.rto_budget_us});
@@ -307,7 +240,7 @@ ScenarioResult run_scenario(const ScenarioConfig& config,
       ContinualLearnerOptions resumed = lane;
       resumed.resume = recovery.checkpoint;
       learner = std::make_unique<ContinualLearner>(
-          engine, trainer_model, fresh_stream(), data.train, resumed);
+          engine, fx.trainer_model, fx.task_stream(), fx.data.train, resumed);
       learner->run_round();
       finish_round(*learner);
       if (result.recoveries == 1) {
@@ -325,9 +258,7 @@ ScenarioResult run_scenario(const ScenarioConfig& config,
       continue;
     }
     if (static_cast<i64>(sent.size()) < config.total_requests) {
-      next_arrival_us +=
-          -std::log(1.0 - arrivals.uniform()) / rate_rps * 1e6;
-      while (clock.elapsed_us() < next_arrival_us) std::this_thread::yield();
+      arrivals.wait_next();
       const i64 idx = static_cast<i64>(sent.size()) % pool.size();
       sent.push_back({idx, engine.submit(pool.batch_images(idx, 1))});
     } else {
@@ -340,20 +271,10 @@ ScenarioResult run_scenario(const ScenarioConfig& config,
   // else but kOk is a real failure.
   for (auto& s : sent) {
     const InferenceResponse response = s.future.get();
-    ++result.submitted;
-    switch (response.status) {
-      case RequestStatus::kOk:
-        ++result.ok;
-        if (!matches_reference(s.pool_idx, response.logits))
-          ++result.corrupted;
-        break;
-      case RequestStatus::kPowerLoss:
-        ++result.power_loss;
-        break;
-      default:
-        ++result.other_bad;
-        break;
-    }
+    result.replies.add(response.status);
+    if (response.status == RequestStatus::kOk &&
+        !matches_reference(s.pool_idx, response.logits))
+      ++result.corrupted;
   }
 
   result.rounds = learner->rounds();
@@ -376,14 +297,11 @@ ScenarioResult run_scenario(const ScenarioConfig& config,
 int main(int argc, char** argv) {
   using namespace msh;
 
+  const bench::Args args(argc, argv, "bench_power_outage [--smoke] [seed]",
+                         1);
   ScenarioConfig config;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      config.smoke = true;
-    } else {
-      config.seed = std::strtoull(argv[i], nullptr, 10);
-    }
-  }
+  config.seed = args.seed();
+  config.smoke = args.smoke();
   if (config.smoke) {
     config.pre_rounds = 4;
     config.outages = 2;
@@ -410,10 +328,11 @@ int main(int argc, char** argv) {
   const auto row = [&](const char* name, auto a, auto b) {
     table.add_row({name, std::to_string(a), std::to_string(b)});
   };
-  row("submitted", first.submitted, second.submitted);
-  row("ok", first.ok, second.ok);
-  row("power loss (outage victims)", first.power_loss, second.power_loss);
-  row("other failures", first.other_bad, second.other_bad);
+  row("submitted", first.replies.total(), second.replies.total());
+  row("ok", first.ok(), second.ok());
+  row("power loss (outage victims)", first.power_loss(),
+      second.power_loss());
+  row("other failures", first.other_bad(), second.other_bad());
   row("corrupted responses", first.corrupted, second.corrupted);
   row("outages", first.outages, second.outages);
   row("recoveries", first.recoveries, second.recoveries);
@@ -436,61 +355,42 @@ int main(int argc, char** argv) {
   std::printf("%s\n", table.render().c_str());
   std::printf("metrics JSON (run A):\n%s\n\n", first.metrics_json.c_str());
 
-  bool pass = true;
-  for (const auto* run : {&first, &second}) {
-    if (!run->error.empty()) {
-      std::printf("FAILED: %s\n", run->error.c_str());
-      pass = false;
-    }
-  }
-  if (pass) {
-    if (first.outages != config.outages ||
-        first.recoveries != config.outages) {
-      std::printf("FAILED: %lld outages fired, %lld recovered (wanted "
-                  "%lld)\n", static_cast<long long>(first.outages),
-                  static_cast<long long>(first.recoveries),
-                  static_cast<long long>(config.outages));
-      pass = false;
-    }
-    if (!first.generations_match || !second.generations_match) {
-      std::printf("FAILED: a recovery booted the wrong durable "
-                  "generation\n");
-      pass = false;
-    }
-    if (!first.within_rto || !second.within_rto) {
-      std::printf("FAILED: recovery exceeded the %.0f s RTO budget (max "
-                  "%.1f s)\n", config.rto_budget_us / 1e6,
-                  std::max(first.max_rto_us, second.max_rto_us) / 1e6);
-      pass = false;
-    }
-    if (first.torn_rollbacks < 1) {
-      std::printf("FAILED: the torn publish was never rolled past\n");
-      pass = false;
-    }
-    if (first.corrupted != 0 || second.corrupted != 0) {
-      std::printf("FAILED: %lld corrupted response(s) — a served reply "
-                  "matched no published generation\n",
-                  static_cast<long long>(first.corrupted +
-                                         second.corrupted));
-      pass = false;
-    }
-    if (first.other_bad != 0 || first.availability() < 0.99) {
-      std::printf("FAILED: availability %.2f%% outside outage windows "
-                  "(%lld non-outage failures)\n",
-                  100.0 * first.availability(),
-                  static_cast<long long>(first.other_bad));
-      pass = false;
-    }
-    if (first.publishes < 1) {
-      std::printf("FAILED: the lane never published across the storm\n");
-      pass = false;
-    }
+  bench::Gate gate;
+  for (const auto* run : {&first, &second})
+    gate.check(run->error.empty(), "%s", run->error.c_str());
+  if (gate.passed()) {
+    gate.check(first.outages == config.outages &&
+                   first.recoveries == config.outages,
+               "%lld outages fired, %lld recovered (wanted %lld)",
+               static_cast<long long>(first.outages),
+               static_cast<long long>(first.recoveries),
+               static_cast<long long>(config.outages));
+    gate.check(first.generations_match && second.generations_match,
+               "a recovery booted the wrong durable generation");
+    gate.check(first.within_rto && second.within_rto,
+               "recovery exceeded the %.0f s RTO budget (max %.1f s)",
+               config.rto_budget_us / 1e6,
+               std::max(first.max_rto_us, second.max_rto_us) / 1e6);
+    gate.check(first.torn_rollbacks >= 1,
+               "the torn publish was never rolled past");
+    gate.check(first.corrupted == 0 && second.corrupted == 0,
+               "%lld corrupted response(s) — a served reply matched no "
+               "published generation",
+               static_cast<long long>(first.corrupted + second.corrupted));
+    gate.check(first.other_bad() == 0 && first.availability() >= 0.99,
+               "availability %.2f%% outside outage windows (%lld "
+               "non-outage failures)",
+               100.0 * first.availability(),
+               static_cast<long long>(first.other_bad()));
+    gate.check(first.publishes >= 1,
+               "the lane never published across the storm");
     // Recovery determinism: both runs must leave byte-identical durable
     // state and identical lane trajectories.
-    if (first.durable_files != second.durable_files) {
-      std::printf("FAILED: durable state differs between same-seed runs "
-                  "(%zu vs %zu files)\n", first.durable_files.size(),
-                  second.durable_files.size());
+    if (!gate.check(first.durable_files == second.durable_files,
+                    "durable state differs between same-seed runs (%zu vs "
+                    "%zu files)",
+                    first.durable_files.size(),
+                    second.durable_files.size())) {
       for (const auto& [name, bytes] : first.durable_files) {
         const auto other = second.durable_files.find(name);
         if (other == second.durable_files.end())
@@ -501,17 +401,13 @@ int main(int argc, char** argv) {
       for (const auto& [name, bytes] : second.durable_files)
         if (first.durable_files.find(name) == first.durable_files.end())
           std::printf("  only in run B: %s\n", name.c_str());
-      pass = false;
     }
-    if (first.rounds != second.rounds || first.steps != second.steps ||
-        first.publishes != second.publishes ||
-        first.final_generation != second.final_generation) {
-      std::printf("FAILED: lane trajectory diverged between same-seed "
-                  "runs\n");
-      pass = false;
-    }
+    gate.check(first.rounds == second.rounds && first.steps == second.steps &&
+                   first.publishes == second.publishes &&
+                   first.final_generation == second.final_generation,
+               "lane trajectory diverged between same-seed runs");
   }
-  if (!pass) return 1;
+  if (!gate.passed()) return gate.exit_code();
 
   std::printf(
       "shape check: %lld power interruptions each scramble the SRAM "

@@ -10,34 +10,29 @@
 //   usage: bench_serving_chaos [--smoke] [seed] [requests] [rate_img_s]
 // --smoke shrinks the request count for the CI perf job (artifact
 // collection + sanity, not steady-state measurement).
-#include <cmath>
+#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
-#include <thread>
-#include <vector>
 
-#include "common/rng.h"
-#include "common/stopwatch.h"
 #include "common/table.h"
-#include "runtime/serving_engine.h"
-#include "workloads/dataset.h"
+#include "harness.h"
 
 namespace msh {
 namespace {
 
 struct ChaosResult {
-  i64 ok = 0;
-  i64 timed_out = 0;
-  i64 failed = 0;
-  i64 rejected = 0;
-  i64 retries = 0;
-  i64 heals = 0;
-  f64 p50_ms = 0.0;
-  f64 p99_ms = 0.0;
+  bench::StatusTally replies;
+  MetricsSnapshot metrics;
   i64 healthy_workers = 0;
-  std::string metrics_json;
+
+  /// Accepted requests that resolved neither kOk nor kTimedOut.
+  i64 failed() const {
+    return replies.other_than({RequestStatus::kOk, RequestStatus::kTimedOut,
+                               RequestStatus::kRejected});
+  }
+  f64 p99_ms() const {
+    return metrics.total_latency.percentile_us(99.0) / 1e3;
+  }
 };
 
 /// Open-loop run; when `faults > 0`, that many chaos faults are injected
@@ -47,46 +42,27 @@ ChaosResult run(RepNetModel& model, const Dataset& calibration,
                 const Dataset& pool, ServingEngineOptions options, i64 total,
                 f64 rate_rps, i64 faults, Rng& rng) {
   ServingEngine engine(model, calibration, options);
-  const Stopwatch watch;
-  std::vector<ResponseFuture> futures;
-  futures.reserve(static_cast<size_t>(total));
   const i64 fault_stride = faults > 0 ? std::max<i64>(1, total / faults) : 0;
   i64 injected = 0;
-  f64 next_arrival_us = 0.0;
-  for (i64 i = 0; i < total; ++i) {
-    next_arrival_us += -std::log(1.0 - rng.uniform()) / rate_rps * 1e6;
-    while (watch.elapsed_us() < next_arrival_us) std::this_thread::yield();
-    if (fault_stride > 0 && i % fault_stride == fault_stride / 2) {
-      const i64 worker = injected % options.workers;
-      if (injected % 2 == 0) {
-        engine.inject_worker_fault(worker, WorkerFault::kCrashNextBatch);
-      } else {
-        engine.inject_worker_fault(worker, WorkerFault::kCorruptNvm,
-                                   MtjFaultModel::symmetric(5e-3),
-                                   /*seed=*/rng.next_u64());
-      }
-      ++injected;
+  const auto inject = [&](i64 i, SubmitOptions&) {
+    if (fault_stride == 0 || i % fault_stride != fault_stride / 2) return;
+    const i64 worker = injected % options.workers;
+    if (injected % 2 == 0) {
+      engine.inject_worker_fault(worker, WorkerFault::kCrashNextBatch);
+    } else {
+      engine.inject_worker_fault(worker, WorkerFault::kCorruptNvm,
+                                 MtjFaultModel::symmetric(5e-3),
+                                 /*seed=*/rng.next_u64());
     }
-    futures.push_back(engine.submit(pool.batch_images(i % pool.size(), 1)));
-  }
+    ++injected;
+  };
   ChaosResult r;
-  for (auto& future : futures) {
-    const InferenceResponse response = future.get();
-    switch (response.status) {
-      case RequestStatus::kOk: ++r.ok; break;
-      case RequestStatus::kTimedOut: ++r.timed_out; break;
-      case RequestStatus::kRejected: ++r.rejected; break;
-      default: ++r.failed; break;
-    }
-  }
+  for (auto& future :
+       bench::run_poisson(engine, pool, total, rate_rps, rng, inject))
+    r.replies.add(future.get().status);
   engine.shutdown();
-  const MetricsSnapshot s = engine.metrics().snapshot();
-  r.retries = s.retries;
-  r.heals = s.heals;
-  r.p50_ms = s.total_latency.percentile_us(50.0) / 1e3;
-  r.p99_ms = s.total_latency.percentile_us(99.0) / 1e3;
+  r.metrics = engine.metrics().snapshot();
   r.healthy_workers = engine.healthy_workers();
-  r.metrics_json = ServingMetrics::to_json(s);
   return r;
 }
 
@@ -96,54 +72,19 @@ ChaosResult run(RepNetModel& model, const Dataset& calibration,
 int main(int argc, char** argv) {
   using namespace msh;
 
-  bool smoke = false;
-  std::vector<char*> args;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else {
-      args.push_back(argv[i]);
-    }
-  }
-  const int nargs = static_cast<int>(args.size());
-  const u64 seed = nargs > 0 ? std::strtoull(args[0], nullptr, 10) : 42;
-  const i64 total =
-      nargs > 1 ? std::strtoll(args[1], nullptr, 10) : (smoke ? 24 : 96);
+  const bench::Args args(argc, argv,
+                         "bench_serving_chaos [--smoke] [seed] [requests] "
+                         "[rate_img_s]",
+                         3);
+  const u64 seed = args.seed();
+  const i64 total = args.positive<i64>(1, args.smoke() ? 24 : 96);
   // Default offered load sits just under what two replicas sustain on a
   // typical host, so latency reflects service + heal pauses, not a
   // saturated queue; pass a rate to pin the trace on faster machines.
-  const f64 rate = nargs > 2 ? std::strtod(args[2], nullptr) : 20.0;
-  if (total <= 0 || rate <= 0.0) {
-    std::fprintf(stderr,
-                 "usage: bench_serving_chaos [--smoke] [seed] [requests] "
-                 "[rate_img_s]\n"
-                 "requests and rate_img_s must be >= 1\n");
-    return 1;
-  }
+  const f64 rate = args.positive<f64>(2, 20.0);
+  bench::ServingFixture fx(seed, /*test_per_class=*/16);
 
-  SyntheticSpec spec;
-  spec.name = "serving-chaos";
-  spec.classes = 4;
-  spec.train_per_class = 16;
-  spec.test_per_class = 16;
-  spec.image_size = 12;
-  spec.seed = seed;
-  TrainTestSplit data = make_synthetic_dataset(spec);
-
-  BackboneConfig backbone;
-  backbone.stem_channels = 8;
-  backbone.stage_channels = {8, 16};
-  backbone.blocks_per_stage = {1, 1};
-  backbone.stage_strides = {1, 2};
-  Rng model_rng(seed);
-  RepNetModel model(backbone,
-                    RepNetConfig{.bottleneck_divisor = 8, .min_bottleneck = 8},
-                    4, model_rng);
-
-  ServingEngineOptions options;
-  options.workers = 2;
-  options.queue_capacity = 256;
-  options.batcher = {.max_batch_rows = 4, .max_wait_us = 200.0};
+  ServingEngineOptions options = bench::two_worker_options();
   options.executor.ecc = EccMode::kSecDed;
   options.max_retries = 3;
   options.scrub_every_batches = 4;
@@ -156,19 +97,25 @@ int main(int argc, char** argv) {
   Rng arrival_rng(seed);
   Rng baseline_rng = arrival_rng.fork();
   Rng chaos_rng = arrival_rng.fork();
-  const ChaosResult baseline = run(model, data.train, data.test, options,
-                                   total, rate, /*faults=*/0, baseline_rng);
+  const ChaosResult baseline = run(fx.model, fx.data.train, fx.data.test,
+                                   options, total, rate, /*faults=*/0,
+                                   baseline_rng);
   const i64 faults = std::max<i64>(4, total / 16);
-  const ChaosResult chaos = run(model, data.train, data.test, options, total,
-                                rate, faults, chaos_rng);
+  const ChaosResult chaos = run(fx.model, fx.data.train, fx.data.test,
+                                options, total, rate, faults, chaos_rng);
 
   AsciiTable table({"run", "ok", "timed out", "failed", "rejected", "retries",
                     "heals", "p50 (ms)", "p99 (ms)", "healthy workers"});
   const auto row = [&](const char* name, const ChaosResult& r) {
-    table.add_row({name, std::to_string(r.ok), std::to_string(r.timed_out),
-                   std::to_string(r.failed), std::to_string(r.rejected),
-                   std::to_string(r.retries), std::to_string(r.heals),
-                   AsciiTable::num(r.p50_ms, 2), AsciiTable::num(r.p99_ms, 2),
+    table.add_row({name, std::to_string(r.replies.count(RequestStatus::kOk)),
+                   std::to_string(r.replies.count(RequestStatus::kTimedOut)),
+                   std::to_string(r.failed()),
+                   std::to_string(r.replies.count(RequestStatus::kRejected)),
+                   std::to_string(r.metrics.retries),
+                   std::to_string(r.metrics.heals),
+                   AsciiTable::num(
+                       r.metrics.total_latency.percentile_us(50.0) / 1e3, 2),
+                   AsciiTable::num(r.p99_ms(), 2),
                    std::to_string(r.healthy_workers)});
   };
   row("baseline", baseline);
@@ -176,25 +123,28 @@ int main(int argc, char** argv) {
   std::printf("%s\n", table.render().c_str());
 
   const f64 inflation =
-      baseline.p99_ms > 0.0 ? chaos.p99_ms / baseline.p99_ms : 0.0;
-  const i64 accepted = chaos.ok + chaos.timed_out + chaos.failed;
+      baseline.p99_ms() > 0.0 ? chaos.p99_ms() / baseline.p99_ms() : 0.0;
+  const i64 chaos_ok = chaos.replies.count(RequestStatus::kOk);
+  const i64 accepted =
+      chaos.replies.total() - chaos.replies.count(RequestStatus::kRejected);
   const f64 availability =
-      accepted > 0 ? static_cast<f64>(chaos.ok) / accepted : 0.0;
+      accepted > 0 ? static_cast<f64>(chaos_ok) / accepted : 0.0;
   std::printf("chaos p99 inflation: %.2fx; availability of accepted "
               "requests: %.2f%% (%lld faults injected)\n\n",
               inflation, availability * 100.0,
               static_cast<long long>(faults));
-  std::printf("metrics JSON (chaos run):\n%s\n\n", chaos.metrics_json.c_str());
+  std::printf("metrics JSON (chaos run):\n%s\n\n",
+              ServingMetrics::to_json(chaos.metrics).c_str());
 
   // Acceptance bar: chaos must never surface a replica fault to a
   // client as kFailed, and the engine must end fully healed.
-  if (chaos.failed != 0 || chaos.healthy_workers != options.workers) {
-    std::printf("FAILED: %lld requests failed, %lld/%lld workers healthy\n",
-                static_cast<long long>(chaos.failed),
-                static_cast<long long>(chaos.healthy_workers),
-                static_cast<long long>(options.workers));
-    return 1;
-  }
+  bench::Gate gate;
+  gate.check(chaos.failed() == 0 && chaos.healthy_workers == options.workers,
+             "%lld requests failed, %lld/%lld workers healthy",
+             static_cast<long long>(chaos.failed()),
+             static_cast<long long>(chaos.healthy_workers),
+             static_cast<long long>(options.workers));
+  if (!gate.passed()) return gate.exit_code();
   std::printf(
       "shape check: every accepted request resolves kOk or kTimedOut under "
       "chaos (never kFailed); crashes surface as retries + heals, NVM "

@@ -18,116 +18,63 @@
 //   - best-effort drops at a rate >= interactive (sheds first).
 //   usage: bench_serving_overload [--smoke] [seed]
 #include <array>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <deque>
-#include <functional>
 #include <string>
 #include <thread>
-#include <utility>
-#include <vector>
 
-#include "common/rng.h"
-#include "common/stopwatch.h"
 #include "common/table.h"
-#include "runtime/serving_engine.h"
-#include "workloads/dataset.h"
+#include "harness.h"
 
 namespace msh {
 namespace {
 
-struct ClassTally {
-  i64 submitted = 0;
-  i64 ok = 0;
-  i64 shed = 0;
-  i64 rejected = 0;
-  i64 timed_out = 0;
-  i64 failed = 0;
-  i64 dropped() const { return shed + rejected + timed_out; }
-  f64 goodput() const {
-    return submitted == 0 ? 0.0
-                          : static_cast<f64>(ok) / static_cast<f64>(submitted);
-  }
-};
-
-struct PhaseResult {
-  std::array<ClassTally, kPriorityClasses> classes;
-  ClassTally& cls(Priority p) { return classes[static_cast<size_t>(p)]; }
-};
-
-/// Closed-loop warm-up: measures what the engine actually sustains on
-/// this host (also warms the shed policy's service-time estimate).
-f64 measure_capacity_rps(ServingEngine& engine, const Dataset& pool,
-                         i64 total) {
-  const Stopwatch watch;
-  std::deque<ResponseFuture> inflight;
-  i64 submitted = 0, done = 0;
-  const size_t window = static_cast<size_t>(2 * engine.workers());
-  while (done < total) {
-    while (submitted < total && inflight.size() < window) {
-      inflight.push_back(
-          engine.submit(pool.batch_images(submitted % pool.size(), 1)));
-      ++submitted;
-    }
-    inflight.front().get();
-    inflight.pop_front();
-    ++done;
-  }
-  return static_cast<f64>(total) / (watch.elapsed_us() / 1e6);
-}
-
-/// One open-loop Poisson phase. Class mix by arrival index: i % 4 ->
-/// interactive, batch, best-effort, best-effort (exact 25/25/50 split).
-PhaseResult run_phase(ServingEngine& engine, const Dataset& pool,
-                      i64 total, f64 rate_rps,
-                      const std::array<f64, kPriorityClasses>& deadlines_us,
-                      Rng& rng, std::thread* swap_thread = nullptr,
-                      std::function<void()> swap_fn = {}) {
+/// Class mix by arrival index: i % 4 -> interactive, batch, best-effort,
+/// best-effort (exact 25/25/50 split).
+Priority class_of(i64 arrival) {
   static constexpr Priority kMix[4] = {
       Priority::kInteractive, Priority::kBatch, Priority::kBestEffort,
       Priority::kBestEffort};
-  const Stopwatch watch;
-  std::vector<std::pair<Priority, ResponseFuture>> futures;
-  futures.reserve(static_cast<size_t>(total));
-  f64 next_arrival_us = 0.0;
-  for (i64 i = 0; i < total; ++i) {
-    next_arrival_us += -std::log(1.0 - rng.uniform()) / rate_rps * 1e6;
-    while (watch.elapsed_us() < next_arrival_us) std::this_thread::yield();
-    if (swap_thread != nullptr && i == total / 3) {
-      // Launch the rolling model swap mid-overload, from another thread,
-      // while arrivals keep coming.
-      *swap_thread = std::thread(swap_fn);
-    }
-    const Priority priority = kMix[i % 4];
-    SubmitOptions submit;
-    submit.priority = priority;
-    submit.deadline_us = deadlines_us[static_cast<size_t>(priority)];
-    futures.emplace_back(
-        priority, engine.submit(pool.batch_images(i % pool.size(), 1),
-                                submit));
-  }
-  PhaseResult result;
-  for (auto& [priority, future] : futures) {
-    ClassTally& tally = result.cls(priority);
-    ++tally.submitted;
-    switch (future.get().status) {
-      case RequestStatus::kOk: ++tally.ok; break;
-      case RequestStatus::kShed: ++tally.shed; break;
-      case RequestStatus::kRejected: ++tally.rejected; break;
-      case RequestStatus::kTimedOut: ++tally.timed_out; break;
-      default: ++tally.failed; break;
-    }
-  }
-  return result;
+  return kMix[arrival % 4];
 }
 
-bool bit_identical(const Tensor& a, const Tensor& b) {
-  if (!(a.shape() == b.shape())) return false;
-  for (i64 i = 0; i < a.numel(); ++i)
-    if (a[i] != b[i]) return false;
-  return true;
+struct ClassTally : bench::StatusTally {
+  i64 dropped() const {
+    return count(RequestStatus::kShed) + count(RequestStatus::kRejected) +
+           count(RequestStatus::kTimedOut);
+  }
+  i64 failed() const {
+    return other_than({RequestStatus::kOk, RequestStatus::kShed,
+                       RequestStatus::kRejected, RequestStatus::kTimedOut});
+  }
+  /// Share of this class's submitted requests.
+  f64 share(i64 n) const {
+    return total() == 0 ? 0.0
+                        : static_cast<f64>(n) / static_cast<f64>(total());
+  }
+  f64 goodput() const { return share(count(RequestStatus::kOk)); }
+};
+
+using PhaseResult = std::array<ClassTally, kPriorityClasses>;
+
+/// One open-loop Poisson phase in the class mix, each class with its
+/// deadline; `on_arrival` (if set) also runs at every arrival.
+PhaseResult run_phase(ServingEngine& engine, const Dataset& pool, i64 total,
+                      f64 rate_rps,
+                      const std::array<f64, kPriorityClasses>& deadlines_us,
+                      Rng& rng,
+                      const std::function<void(i64)>& on_arrival = {}) {
+  const auto submit_in_mix = [&](i64 i, SubmitOptions& submit) {
+    if (on_arrival) on_arrival(i);
+    submit.priority = class_of(i);
+    submit.deadline_us = deadlines_us[static_cast<size_t>(submit.priority)];
+  };
+  std::vector<ResponseFuture> futures =
+      bench::run_poisson(engine, pool, total, rate_rps, rng, submit_in_mix);
+  PhaseResult result;
+  for (i64 i = 0; i < total; ++i)
+    result[static_cast<size_t>(class_of(i))].add(
+        futures[static_cast<size_t>(i)].get().status);
+  return result;
 }
 
 }  // namespace
@@ -136,51 +83,22 @@ bool bit_identical(const Tensor& a, const Tensor& b) {
 int main(int argc, char** argv) {
   using namespace msh;
 
-  bool smoke = false;
-  u64 seed = 42;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else {
-      seed = std::strtoull(argv[i], nullptr, 10);
-    }
-  }
+  const bench::Args args(argc, argv, "bench_serving_overload [--smoke] [seed]",
+                         1);
+  const u64 seed = args.seed();
+  const bool smoke = args.smoke();
   const i64 warmup = smoke ? 24 : 48;
   const i64 total_a = smoke ? 48 : 160;
   const i64 total_b = smoke ? 96 : 320;
 
-  SyntheticSpec spec;
-  spec.name = "serving-overload";
-  spec.classes = 4;
-  spec.train_per_class = 16;
-  spec.test_per_class = 16;
-  spec.image_size = 12;
-  spec.seed = seed;
-  TrainTestSplit data = make_synthetic_dataset(spec);
+  bench::ServingFixture fx(seed, /*test_per_class=*/16);
 
-  BackboneConfig backbone;
-  backbone.stem_channels = 8;
-  backbone.stage_channels = {8, 16};
-  backbone.blocks_per_stage = {1, 1};
-  backbone.stage_strides = {1, 2};
-  Rng model_rng(seed);
-  RepNetModel model(backbone,
-                    RepNetConfig{.bottleneck_divisor = 8, .min_bottleneck = 8},
-                    4, model_rng);
-
-  // Warm-up engine measures capacity; the measured engine is then reused
-  // for the ramp so the service-time estimate carries over.
-  ServingEngineOptions options;
-  options.workers = 2;
-  options.queue_capacity = 256;
-  options.batcher = {.max_batch_rows = 4, .max_wait_us = 200.0};
+  // A warm-up probe engine measures capacity; the ramp engine's overload
+  // policy is calibrated from it.
+  ServingEngineOptions options = bench::two_worker_options();
   options.max_retries = 3;
-
-  f64 capacity_rps;
-  {
-    ServingEngine probe(model, data.train, options);
-    capacity_rps = measure_capacity_rps(probe, data.test, warmup);
-  }
+  const f64 capacity_rps =
+      bench::measure_capacity_rps(fx, options, fx.data.test, warmup);
   const f64 svc_us = 1e6 * static_cast<f64>(options.workers) / capacity_rps;
 
   // Overload policy: best-effort is rate-limited to half of capacity and
@@ -205,43 +123,49 @@ int main(int argc, char** argv) {
               static_cast<long long>(total_b),
               static_cast<unsigned long long>(seed), smoke ? " (smoke)" : "");
 
-  ServingEngine engine(model, data.train, options);
+  ServingEngine engine(fx.model, fx.data.train, options);
   Rng arrival_rng(seed);
   Rng rng_a = arrival_rng.fork();
   Rng rng_b = arrival_rng.fork();
 
-  PhaseResult phase_a = run_phase(engine, data.test, total_a,
+  PhaseResult phase_a = run_phase(engine, fx.data.test, total_a,
                                   0.5 * capacity_rps, deadlines_us, rng_a);
 
   // The image rolled through mid-overload: a fresh deployment of the
   // same trained model, exported in the on-flash format.
   auto image = std::make_shared<DeploymentImage>(
-      PimRepNetExecutor(model, data.train, options.executor).export_image());
+      PimRepNetExecutor(fx.model, fx.data.train, options.executor)
+          .export_image());
   bool swap_ok = false;
   std::thread swap_thread;
-  PhaseResult phase_b = run_phase(
-      engine, data.test, total_b, 2.0 * capacity_rps, deadlines_us, rng_b,
-      &swap_thread, [&] {
-        // A worker only installs the incoming replica between batches, and
-        // sanitizer builds stretch batch latency well past the default 5 s
-        // handoff window — give each worker a generous pickup budget.
-        SwapOptions swap_options;
-        swap_options.worker_timeout_us = 120e6;
-        swap_ok = engine.swap_model(image, swap_options);
-      });
+  const auto launch_swap = [&](i64 i) {
+    if (i != total_b / 3) return;
+    // Launch the rolling model swap mid-overload, from another thread,
+    // while arrivals keep coming. A worker only installs the incoming
+    // replica between batches, and sanitizer builds stretch batch latency
+    // well past the default 5 s handoff window — give each worker a
+    // generous pickup budget.
+    swap_thread = std::thread([&] {
+      SwapOptions swap_options;
+      swap_options.worker_timeout_us = 120e6;
+      swap_ok = engine.swap_model(image, swap_options);
+    });
+  };
+  PhaseResult phase_b =
+      run_phase(engine, fx.data.test, total_b, 2.0 * capacity_rps, deadlines_us,
+                rng_b, launch_swap);
   if (swap_thread.joinable()) swap_thread.join();
 
   // Post-swap output check: the engine (now serving the swapped image)
   // must match a fresh standalone deploy of that image bit-for-bit.
-  const Tensor probe_images = data.test.batch_images(0, 2);
+  const Tensor probe_images = fx.data.test.batch_images(0, 2);
   const Tensor swapped_logits = engine.submit(probe_images).get().logits;
   auto reference = PimRepNetExecutor::deploy_from_image(
-      model, options.executor,
-      PimRepNetExecutor(model, data.train, options.executor).input_amax(),
+      fx.model, options.executor,
+      PimRepNetExecutor(fx.model, fx.data.train, options.executor).input_amax(),
       image);
   const bool outputs_identical =
-      !swapped_logits.empty() &&
-      bit_identical(swapped_logits, reference->forward(probe_images));
+      bench::bit_equal(swapped_logits, reference->forward(probe_images));
 
   engine.shutdown();
   const MetricsSnapshot s = engine.metrics().snapshot();
@@ -250,11 +174,14 @@ int main(int argc, char** argv) {
                     "timed out", "failed", "goodput"});
   const auto rows = [&](const char* phase, PhaseResult& r) {
     for (i64 c = 0; c < kPriorityClasses; ++c) {
-      const ClassTally& t = r.classes[static_cast<size_t>(c)];
+      const ClassTally& t = r[static_cast<size_t>(c)];
       table.add_row({phase, to_string(static_cast<Priority>(c)),
-                     std::to_string(t.submitted), std::to_string(t.ok),
-                     std::to_string(t.shed), std::to_string(t.rejected),
-                     std::to_string(t.timed_out), std::to_string(t.failed),
+                     std::to_string(t.total()),
+                     std::to_string(t.count(RequestStatus::kOk)),
+                     std::to_string(t.count(RequestStatus::kShed)),
+                     std::to_string(t.count(RequestStatus::kRejected)),
+                     std::to_string(t.count(RequestStatus::kTimedOut)),
+                     std::to_string(t.failed()),
                      AsciiTable::num(100.0 * t.goodput(), 1) + "%"});
     }
   };
@@ -281,46 +208,32 @@ int main(int argc, char** argv) {
   std::printf("metrics JSON (ramp):\n%s\n\n",
               ServingMetrics::to_json(s).c_str());
 
-  const ClassTally& int_a = phase_a.cls(Priority::kInteractive);
-  const ClassTally& int_b = phase_b.cls(Priority::kInteractive);
-  const ClassTally& be_b = phase_b.cls(Priority::kBestEffort);
-  const i64 total_failed =
-      int_a.failed + int_b.failed + be_b.failed +
-      phase_a.cls(Priority::kBatch).failed +
-      phase_b.cls(Priority::kBatch).failed +
-      phase_a.cls(Priority::kBestEffort).failed;
+  const auto cls = [](const PhaseResult& r, Priority p) -> const ClassTally& {
+    return r[static_cast<size_t>(p)];
+  };
+  const ClassTally& int_a = cls(phase_a, Priority::kInteractive);
+  const ClassTally& int_b = cls(phase_b, Priority::kInteractive);
+  const ClassTally& be_b = cls(phase_b, Priority::kBestEffort);
+  i64 total_failed = 0;
+  for (const PhaseResult* phase : {&phase_a, &phase_b})
+    for (const ClassTally& t : *phase) total_failed += t.failed();
 
-  bool pass = true;
-  if (total_failed != 0 || s.failed_requests != 0) {
-    std::printf("FAILED: %lld requests resolved kFailed\n",
-                static_cast<long long>(s.failed_requests));
-    pass = false;
-  }
-  if (!swap_ok || !outputs_identical) {
-    std::printf("FAILED: mid-ramp model swap did not complete cleanly\n");
-    pass = false;
-  }
-  if (int_b.goodput() < 0.9 * int_a.goodput()) {
-    std::printf("FAILED: interactive goodput collapsed under overload "
-                "(%.1f%% vs %.1f%% pre-saturation)\n",
-                100.0 * int_b.goodput(), 100.0 * int_a.goodput());
-    pass = false;
-  }
-  const f64 be_drop =
-      be_b.submitted == 0
-          ? 0.0
-          : static_cast<f64>(be_b.dropped()) / be_b.submitted;
-  const f64 int_drop =
-      int_b.submitted == 0
-          ? 0.0
-          : static_cast<f64>(int_b.dropped()) / int_b.submitted;
-  if (be_drop < int_drop) {
-    std::printf("FAILED: interactive shed before best-effort "
-                "(%.1f%% vs %.1f%% dropped)\n", 100.0 * int_drop,
-                100.0 * be_drop);
-    pass = false;
-  }
-  if (!pass) return 1;
+  bench::Gate gate;
+  gate.check(total_failed == 0 && s.failed_requests == 0,
+             "%lld requests resolved kFailed",
+             static_cast<long long>(s.failed_requests));
+  gate.check(swap_ok && outputs_identical,
+             "mid-ramp model swap did not complete cleanly");
+  gate.check(int_b.goodput() >= 0.9 * int_a.goodput(),
+             "interactive goodput collapsed under overload "
+             "(%.1f%% vs %.1f%% pre-saturation)",
+             100.0 * int_b.goodput(), 100.0 * int_a.goodput());
+  const f64 be_drop = be_b.share(be_b.dropped());
+  const f64 int_drop = int_b.share(int_b.dropped());
+  gate.check(be_drop >= int_drop,
+             "interactive shed before best-effort (%.1f%% vs %.1f%% dropped)",
+             100.0 * int_drop, 100.0 * be_drop);
+  if (!gate.passed()) return gate.exit_code();
 
   std::printf(
       "shape check: under a 2x overload ramp the surplus is shed from "

@@ -14,20 +14,11 @@
 // --smoke shrinks the request count for the CI perf job (artifact
 // collection + sanity, not steady-state measurement).
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <deque>
 #include <string>
-#include <thread>
-#include <vector>
 
-#include "common/rng.h"
-#include "common/stopwatch.h"
 #include "common/table.h"
-#include "runtime/serving_engine.h"
-#include "workloads/dataset.h"
+#include "harness.h"
 
 namespace msh {
 namespace {
@@ -57,50 +48,25 @@ LoadResult summarize(const ServingEngine& engine, f64 elapsed_s) {
   return r;
 }
 
-/// Closed loop: keep `window` requests in flight until `total` submitted.
+/// Closed loop on a fresh engine: `window` requests in flight until
+/// `total` complete.
 LoadResult run_closed_loop(RepNetModel& model, const Dataset& calibration,
                            const Dataset& pool, ServingEngineOptions options,
                            i64 total, i64 window) {
   ServingEngine engine(model, calibration, options);
-  const Stopwatch watch;
-  std::deque<ResponseFuture> inflight;
-  i64 submitted = 0;
-  while (submitted < total || !inflight.empty()) {
-    while (submitted < total &&
-           static_cast<i64>(inflight.size()) < window) {
-      const i64 at = submitted % pool.size();
-      inflight.push_back(engine.submit(pool.batch_images(at, 1)));
-      ++submitted;
-    }
-    inflight.front().get();
-    inflight.pop_front();
-  }
-  const f64 elapsed_s = watch.elapsed_s();
+  const f64 elapsed_s = bench::run_closed_loop(engine, pool, total, window);
   engine.shutdown();
   return summarize(engine, elapsed_s);
 }
 
-/// Open loop: Poisson arrivals at `rate_rps`; full queue => rejection,
-/// exactly as a front-end load balancer would see it.
+/// Open loop on a fresh engine: Poisson arrivals at `rate_rps`.
 LoadResult run_open_loop(RepNetModel& model, const Dataset& calibration,
                          const Dataset& pool, ServingEngineOptions options,
                          i64 total, f64 rate_rps, Rng& rng) {
   ServingEngine engine(model, calibration, options);
   const Stopwatch watch;
-  std::vector<ResponseFuture> futures;
-  futures.reserve(static_cast<size_t>(total));
-  f64 next_arrival_us = 0.0;
-  for (i64 i = 0; i < total; ++i) {
-    // Exponential interarrival; deterministic in the seed.
-    next_arrival_us += -std::log(1.0 - rng.uniform()) / rate_rps * 1e6;
-    while (watch.elapsed_us() < next_arrival_us) {
-      // Sub-millisecond gaps: spin-wait keeps the trace faithful.
-      std::this_thread::yield();
-    }
-    const i64 at = i % pool.size();
-    futures.push_back(engine.submit(pool.batch_images(at, 1)));
-  }
-  for (auto& future : futures) future.get();
+  for (auto& future : bench::run_poisson(engine, pool, total, rate_rps, rng))
+    future.get();
   const f64 elapsed_s = watch.elapsed_s();
   engine.shutdown();
   LoadResult r = summarize(engine, elapsed_s);
@@ -114,47 +80,14 @@ LoadResult run_open_loop(RepNetModel& model, const Dataset& calibration,
 int main(int argc, char** argv) {
   using namespace msh;
 
-  bool smoke = false;
-  std::vector<char*> args;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else {
-      args.push_back(argv[i]);
-    }
-  }
-  const int nargs = static_cast<int>(args.size());
-  const u64 seed = nargs > 0 ? std::strtoull(args[0], nullptr, 10) : 42;
-  const i64 total =
-      nargs > 1 ? std::strtoll(args[1], nullptr, 10) : (smoke ? 16 : 64);
-  const f64 fixed_rate = nargs > 2 ? std::strtod(args[2], nullptr) : 0.0;
-  if (total <= 0 || (nargs > 2 && fixed_rate <= 0.0)) {
-    std::fprintf(
-        stderr,
-        "usage: bench_serving_throughput [--smoke] [seed] "
-        "[requests_per_config] [rate_img_s]\n"
-        "requests_per_config and rate_img_s must be >= 1\n");
-    return 1;
-  }
-
-  SyntheticSpec spec;
-  spec.name = "serving-load";
-  spec.classes = 4;
-  spec.train_per_class = 16;
-  spec.test_per_class = 16;
-  spec.image_size = 12;
-  spec.seed = seed;
-  TrainTestSplit data = make_synthetic_dataset(spec);
-
-  BackboneConfig backbone;
-  backbone.stem_channels = 8;
-  backbone.stage_channels = {8, 16};
-  backbone.blocks_per_stage = {1, 1};
-  backbone.stage_strides = {1, 2};
-  Rng model_rng(seed);
-  RepNetModel model(backbone,
-                    RepNetConfig{.bottleneck_divisor = 8, .min_bottleneck = 8},
-                    4, model_rng);
+  const bench::Args args(argc, argv,
+                         "bench_serving_throughput [--smoke] [seed] "
+                         "[requests_per_config] [rate_img_s]",
+                         3);
+  const u64 seed = args.seed();
+  const i64 total = args.positive<i64>(1, args.smoke() ? 16 : 64);
+  const f64 fixed_rate = args.positive<f64>(2, 0.0);
+  bench::ServingFixture fx(seed, /*test_per_class=*/16);
 
   std::printf("=== Serving throughput: %lld requests/config, seed %llu ===\n\n",
               static_cast<long long>(total),
@@ -172,8 +105,8 @@ int main(int argc, char** argv) {
       options.queue_capacity = 256;
       options.batcher = {.max_batch_rows = batch, .max_wait_us = 200.0};
       const LoadResult r =
-          run_closed_loop(model, data.train, data.test, options, total,
-                          /*window=*/workers * batch * 2);
+          run_closed_loop(fx.model, fx.data.train, fx.data.test, options,
+                          total, /*window=*/workers * batch * 2);
       if (workers == 1 && batch == 1) base_rate = r.images_per_s;
       if (workers == 1) one_worker_rate = std::max(one_worker_rate, r.images_per_s);
       closed.add_row({std::to_string(workers), std::to_string(batch),
@@ -203,8 +136,8 @@ int main(int argc, char** argv) {
     // arrival trace completely (CI reproducibility).
     const f64 rate = fixed_rate > 0.0 ? fixed_rate : one_worker_rate * 1.2;
     Rng config_rng = arrival_rng.fork();
-    const LoadResult r = run_open_loop(model, data.train, data.test, options,
-                                       total, rate, config_rng);
+    const LoadResult r = run_open_loop(fx.model, fx.data.train, fx.data.test,
+                                       options, total, rate, config_rng);
     open.add_row({std::to_string(workers), AsciiTable::num(r.offered_images_per_s, 1),
                   AsciiTable::num(r.images_per_s, 1),
                   AsciiTable::num(r.p50_ms, 2), AsciiTable::num(r.p95_ms, 2),

@@ -19,41 +19,14 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <deque>
 #include <thread>
 #include <vector>
 
-#include "common/rng.h"
-#include "common/stopwatch.h"
 #include "common/table.h"
-#include "runtime/continual/continual_learner.h"
-#include "workloads/task_suite.h"
+#include "harness.h"
 
 namespace msh {
 namespace {
-
-/// Closed-loop warm-up: what the engine actually sustains on this host
-/// (and under whatever sanitizer is active).
-f64 measure_capacity_rps(ServingEngine& engine, const Dataset& pool,
-                         i64 total) {
-  const Stopwatch watch;
-  std::deque<ResponseFuture> inflight;
-  i64 submitted = 0, done = 0;
-  const size_t window = static_cast<size_t>(2 * engine.workers());
-  while (done < total) {
-    while (submitted < total && inflight.size() < window) {
-      inflight.push_back(
-          engine.submit(pool.batch_images(submitted % pool.size(), 1)));
-      ++submitted;
-    }
-    inflight.front().get();
-    inflight.pop_front();
-    ++done;
-  }
-  return static_cast<f64>(total) / (watch.elapsed_us() / 1e6);
-}
 
 struct PhaseStats {
   i64 submitted = 0;
@@ -80,18 +53,9 @@ struct PhaseStats {
 /// stay separable (the engine histogram accumulates across both).
 PhaseStats run_phase(ServingEngine& engine, const Dataset& pool, i64 total,
                      f64 rate_rps, Rng& rng) {
-  const Stopwatch watch;
-  std::vector<ResponseFuture> futures;
-  futures.reserve(static_cast<size_t>(total));
-  f64 next_arrival_us = 0.0;
-  for (i64 i = 0; i < total; ++i) {
-    next_arrival_us += -std::log(1.0 - rng.uniform()) / rate_rps * 1e6;
-    while (watch.elapsed_us() < next_arrival_us) std::this_thread::yield();
-    futures.push_back(engine.submit(pool.batch_images(i % pool.size(), 1)));
-  }
   PhaseStats stats;
   stats.submitted = total;
-  for (auto& future : futures) {
+  for (auto& future : bench::run_poisson(engine, pool, total, rate_rps, rng)) {
     const InferenceResponse response = future.get();
     if (response.status == RequestStatus::kOk) {
       ++stats.ok;
@@ -123,55 +87,21 @@ std::string sparkline(const std::vector<f64>& values) {
 int main(int argc, char** argv) {
   using namespace msh;
 
-  bool smoke = false;
-  u64 seed = 42;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else {
-      seed = std::strtoull(argv[i], nullptr, 10);
-    }
-  }
+  const bench::Args args(argc, argv, "bench_train_while_serve [--smoke] [seed]",
+                         1);
+  const u64 seed = args.seed();
+  const bool smoke = args.smoke();
   const i64 warmup = smoke ? 24 : 48;
   const i64 per_phase = smoke ? 70 : 200;
   const i64 max_rounds = smoke ? 6 : 10;
 
   // Served task (engine calibration) + its drifted personalization: same
   // classes, new prototypes — what the lane adapts to.
-  SyntheticSpec served;
-  served.name = "train-while-serve";
-  served.classes = 4;
-  served.train_per_class = 16;
-  served.test_per_class = 12;
-  served.image_size = 12;
-  served.seed = seed;
-  TrainTestSplit data = make_synthetic_dataset(served);
-  SyntheticSpec adapt_spec = adaptation_task_spec(served, seed + 300);
-  adapt_spec.train_per_class = 20;
-  TrainTestSplit adapt = make_synthetic_dataset(adapt_spec);
+  bench::LaneFixture fx(seed);
+  const ServingEngineOptions options = bench::two_worker_options();
 
-  BackboneConfig backbone;
-  backbone.stem_channels = 8;
-  backbone.stage_channels = {8, 16};
-  backbone.blocks_per_stage = {1, 1};
-  backbone.stage_strides = {1, 2};
-  const RepNetConfig rep_cfg{.bottleneck_divisor = 8, .min_bottleneck = 8};
-  Rng model_rng(seed);
-  RepNetModel model(backbone, rep_cfg, served.classes, model_rng);
-  model.backbone().set_trainable(false);  // on-device learning setup
-  Rng trainer_rng(seed + 1);
-  RepNetModel trainer_model(backbone, rep_cfg, served.classes, trainer_rng);
-
-  ServingEngineOptions options;
-  options.workers = 2;
-  options.queue_capacity = 256;
-  options.batcher = {.max_batch_rows = 4, .max_wait_us = 200.0};
-
-  f64 capacity_rps;
-  {
-    ServingEngine probe(model, data.train, options);
-    capacity_rps = measure_capacity_rps(probe, adapt.test, warmup);
-  }
+  const f64 capacity_rps =
+      bench::measure_capacity_rps(fx, options, fx.adapt.test, warmup);
   const f64 rate_rps = 0.3 * capacity_rps;
 
   std::printf("=== Train-while-serve: capacity %.0f req/s, offered %.0f "
@@ -180,37 +110,26 @@ int main(int argc, char** argv) {
               static_cast<long long>(max_rounds),
               static_cast<unsigned long long>(seed), smoke ? " (smoke)" : "");
 
-  ServingEngine engine(model, data.train, options);
+  ServingEngine engine(fx.model, fx.data.train, options);
   Rng arrival_rng(seed);
   Rng rng_off = arrival_rng.fork();
   Rng rng_on = arrival_rng.fork();
 
   // Phase OFF: inference only, the latency baseline.
-  PhaseStats off = run_phase(engine, adapt.test, per_phase, rate_rps,
+  PhaseStats off = run_phase(engine, fx.adapt.test, per_phase, rate_rps,
                              rng_off);
 
   // Phase ON: identical offered load with the lane training concurrently.
   // The poisoned round exercises the regression gate mid-run.
-  ContinualLearnerOptions lane_options;
-  lane_options.seed = seed;
-  lane_options.batch = 8;
-  lane_options.steps_per_round = 6;
+  ContinualLearnerOptions lane_options = fx.lane_options();
   lane_options.max_rounds = max_rounds;
-  lane_options.rep_lr = 0.02f;
-  lane_options.head_lr = 0.15f;
-  lane_options.min_accuracy_gain = 0.01;
-  lane_options.rollback_margin = 0.05;
-  lane_options.holdout_batch = 16;
   lane_options.duty_cycle = 0.35;
   lane_options.poison_round = max_rounds / 2;
   lane_options.poison_stddev = 1.0f;
-  lane_options.swap.worker_timeout_us = 120e6;  // sanitizer headroom
-  ContinualLearner learner(engine, trainer_model,
-                           TaskStream(make_synthetic_dataset(adapt_spec),
-                                      seed + 7),
-                           data.train, lane_options);
+  ContinualLearner learner(engine, fx.trainer_model, fx.task_stream(),
+                           fx.data.train, lane_options);
   learner.start();
-  PhaseStats on = run_phase(engine, adapt.test, per_phase, rate_rps,
+  PhaseStats on = run_phase(engine, fx.adapt.test, per_phase, rate_rps,
                             rng_on);
   // Let the lane finish its round budget, then join it.
   while (learner.rounds() < max_rounds)
@@ -255,47 +174,32 @@ int main(int argc, char** argv) {
               sparkline(lane.accuracy_trajectory).c_str());
   std::printf("metrics JSON:\n%s\n\n", ServingMetrics::to_json(s).c_str());
 
-  bool pass = true;
-  if (learner.best_accuracy() < learner.baseline_accuracy() + 0.05) {
-    std::printf("FAILED: adaptation did not improve holdout accuracy "
-                "(baseline %.3f, best %.3f)\n",
-                learner.baseline_accuracy(), learner.best_accuracy());
-    pass = false;
-  }
-  if (learner.publishes() < 1) {
-    std::printf("FAILED: no adapted image was published\n");
-    pass = false;
-  }
-  if (learner.rollbacks() < 1) {
-    std::printf("FAILED: the poisoned round was not rolled back\n");
-    pass = false;
-  }
+  bench::Gate gate;
+  gate.check(learner.best_accuracy() >= learner.baseline_accuracy() + 0.05,
+             "adaptation did not improve holdout accuracy "
+             "(baseline %.3f, best %.3f)",
+             learner.baseline_accuracy(), learner.best_accuracy());
+  gate.check(learner.publishes() >= 1, "no adapted image was published");
+  gate.check(learner.rollbacks() >= 1,
+             "the poisoned round was not rolled back");
   // Every completed swap was a gate-passing publish: a regressing
   // candidate never reached the serving replicas.
-  if (s.swaps_completed != lane.publishes) {
-    std::printf("FAILED: %lld swaps completed vs %lld gated publishes\n",
-                static_cast<long long>(s.swaps_completed),
-                static_cast<long long>(lane.publishes));
-    pass = false;
-  }
-  if (off.availability() < 0.99 || on.availability() < 0.99 ||
-      s.failed_requests != 0) {
-    std::printf("FAILED: availability dropped (OFF %.1f%%, ON %.1f%%, "
-                "%lld failed)\n", 100.0 * off.availability(),
-                100.0 * on.availability(),
-                static_cast<long long>(s.failed_requests));
-    pass = false;
-  }
+  gate.check(s.swaps_completed == lane.publishes,
+             "%lld swaps completed vs %lld gated publishes",
+             static_cast<long long>(s.swaps_completed),
+             static_cast<long long>(lane.publishes));
+  gate.check(off.availability() >= 0.99 && on.availability() >= 0.99 &&
+                 s.failed_requests == 0,
+             "availability dropped (OFF %.1f%%, ON %.1f%%, %lld failed)",
+             100.0 * off.availability(), 100.0 * on.availability(),
+             static_cast<long long>(s.failed_requests));
   // 2x p99 budget, with a floor so sub-ms baselines don't gate on timer
   // noise.
   const f64 p99_budget = 2.0 * std::max(off.percentile_us(99.0), 5000.0);
-  if (on.percentile_us(99.0) > p99_budget) {
-    std::printf("FAILED: lane-ON p99 %.2f ms exceeds budget %.2f ms "
-                "(2x lane-OFF)\n", on.percentile_us(99.0) / 1e3,
-                p99_budget / 1e3);
-    pass = false;
-  }
-  if (!pass) return 1;
+  gate.check(on.percentile_us(99.0) <= p99_budget,
+             "lane-ON p99 %.2f ms exceeds budget %.2f ms (2x lane-OFF)",
+             on.percentile_us(99.0) / 1e3, p99_budget / 1e3);
+  if (!gate.passed()) return gate.exit_code();
 
   std::printf(
       "shape check: the continual-learning lane adapts the Rep path + "

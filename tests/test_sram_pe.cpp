@@ -1,6 +1,6 @@
 // Bit-exactness of the bit-serial SRAM sparse PE against the quantized
-// integer reference, across N:M configurations, segmentation, vertical
-// spill, and the write path.
+// integer reference, across N:M configurations, dense (M:M) packing,
+// segmentation, vertical spill, and the write path.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -115,6 +115,30 @@ TEST(SramPe, CycleCountMatchesClosedForm) {
   EXPECT_EQ(pe.events().cycles - after_load, 4 * 8 + AdderTree(128).depth());
   EXPECT_EQ(pe.events().sram_array_cycles, 4 * 8);
   EXPECT_EQ(pe.events().sram_index_compares, 4 * 8);  // 8 groups x 4 phases
+}
+
+TEST(SramPe, DensePackingMatchesIntegerReference) {
+  // A 4:4 ("dense") packing turns the sparse PE into a dense CIM macro:
+  // it must equal the plain integer matvec exactly, at 4 index phases x
+  // the dense window's 8 bit-serial cycles — the storage-density-vs-time
+  // tradeoff in one assertion.
+  const i64 k = 128, c = 8;
+  Rng rng(7);
+  Tensor dense(Shape{k, c});
+  for (i64 i = 0; i < k * c; ++i)
+    dense[i] = static_cast<f32>(rng.uniform_int(-127, 127));
+  const auto act = random_activations(k, 8);
+  std::vector<i64> reference(static_cast<size_t>(c), 0);
+  for (i64 r = 0; r < k; ++r)
+    for (i64 col = 0; col < c; ++col)
+      reference[static_cast<size_t>(col)] +=
+          static_cast<i64>(dense[r * c + col]) * act[static_cast<size_t>(r)];
+
+  const QuantizedNmMatrix packed = QuantizedNmMatrix::from_packed_codes(
+      NmPackedMatrix::pack(dense, NmConfig{4, 4}), 1.0f);
+  PeEventCounts events;
+  EXPECT_EQ(run_tiles(map_to_sram_pes(packed), c, act, &events), reference);
+  EXPECT_EQ(events.sram_array_cycles, 32);
 }
 
 TEST(SramPe, SegmentationPacksShortColumns) {
